@@ -20,12 +20,15 @@ namespace rfdnet::bgp {
 /// construction time, after xripd's `rib-ll` / `rib-null` vtable backends:
 ///
 ///  - kHashMap: the classic `unordered_map<Prefix, T>` — O(1) lookups,
-///    unordered iteration, per-node allocation. The default.
+///    unordered iteration, per-node allocation. The default for sparse
+///    tables (experiments hold about one prefix per router).
 ///  - kRadix:   a fixed-stride (8-bit, 4-level) radix trie over the 32-bit
 ///    prefix key. Lookups are four indexed loads, iteration is in ascending
 ///    prefix order (aggregation-friendly), and erasing the last entry of a
 ///    256-wide leaf returns the whole block — dense full-table workloads
-///    reclaim memory in contiguous chunks.
+///    reclaim memory in contiguous chunks. The default for full tables; the
+///    first insert allocates a root-to-leaf chain of four 256-wide nodes
+///    (kilobytes), so it does not pay on tables of a handful of prefixes.
 ///  - kNull:    retains nothing. Reads miss, writes land in a scratch slot
 ///    that the next access recycles. A router on this backend originates and
 ///    delivers updates but never accumulates state — it measures the pure
@@ -122,10 +125,11 @@ class RadixStore {
   }
 
   T& find_or_create(Prefix p) {
-    auto& n3 = root_.child[(p >> 24) & 0xff];
+    if (!root_) root_ = std::make_unique<RadixNode<T, 3>>();
+    auto& n3 = root_->child[(p >> 24) & 0xff];
     if (!n3) {
       n3 = std::make_unique<RadixNode<T, 2>>();
-      ++root_.occupied;
+      ++root_->occupied;
     }
     auto& n2 = n3->child[(p >> 16) & 0xff];
     if (!n2) {
@@ -147,7 +151,8 @@ class RadixStore {
   }
 
   bool erase(Prefix p) {
-    auto& n3 = root_.child[(p >> 24) & 0xff];
+    if (!root_) return false;
+    auto& n3 = root_->child[(p >> 24) & 0xff];
     if (!n3) return false;
     auto& n2 = n3->child[(p >> 16) & 0xff];
     if (!n2) return false;
@@ -165,7 +170,7 @@ class RadixStore {
         n2.reset();
         if (--n3->occupied == 0) {
           n3.reset();
-          --root_.occupied;
+          --root_->occupied;
         }
       }
     }
@@ -173,8 +178,9 @@ class RadixStore {
   }
 
   std::size_t size() const { return size_; }
+  /// Releases the whole trie, root included.
   void clear() {
-    root_ = RadixNode<T, 3>{};
+    root_.reset();
     size_ = 0;
   }
 
@@ -199,7 +205,8 @@ class RadixStore {
 
  private:
   RadixNode<T, 0>* walk(Prefix p) {
-    auto& n3 = root_.child[(p >> 24) & 0xff];
+    if (!root_) return nullptr;
+    auto& n3 = root_->child[(p >> 24) & 0xff];
     if (!n3) return nullptr;
     auto& n2 = n3->child[(p >> 16) & 0xff];
     if (!n2) return nullptr;
@@ -209,8 +216,9 @@ class RadixStore {
 
   template <typename Self, typename Fn>
   static void walk_all(Self& self, Fn& fn) {
+    if (!self.root_) return;
     for (std::uint32_t a = 0; a < 256; ++a) {
-      const auto& n3 = self.root_.child[a];
+      const auto& n3 = self.root_->child[a];
       if (!n3) continue;
       for (std::uint32_t b = 0; b < 256; ++b) {
         const auto& n2 = n3->child[b];
@@ -228,7 +236,11 @@ class RadixStore {
     }
   }
 
-  RadixNode<T, 3> root_;
+  // Allocated on the first insert: the 256-pointer root would otherwise sit
+  // inline in every RibTable, whichever store it runs on (std::variant
+  // reserves room for its largest alternative), and most tables in a
+  // network-scale experiment hold a single prefix on the hash store.
+  std::unique_ptr<RadixNode<T, 3>> root_;
   std::size_t size_ = 0;
 };
 

@@ -170,6 +170,7 @@ void DampingModule::on_update(int slot, const bgp::UpdateMessage& msg,
   if (e == nullptr) e = &entry(slot, msg.prefix);
   if (marks_announced) e->ever_announced = true;
   if (inc <= 0.0) return;
+  const bool was_live = live(*e);
 
   // RFC 2439 memory limit: an unsuppressed penalty that has decayed below
   // half the reuse threshold is no longer tracked.
@@ -178,6 +179,8 @@ void DampingModule::on_update(int slot, const bgp::UpdateMessage& msg,
   }
 
   e->penalty.add(inc, now, lambda, params_.ceiling());
+  note_stored(e->penalty.raw(), now);
+  recount(was_live, *e);
   const double value = e->penalty.at(now, lambda);
   RFDNET_INVARIANT(value >= 0.0 && value <= params_.ceiling(),
                    "rfd: charged penalty outside [0, ceiling]");
@@ -281,6 +284,7 @@ void DampingModule::fire_reuse(int slot, bgp::Prefix p) {
   if (!e.suppressed) return;
   e.suppressed = false;
   --suppressed_count_;
+  recount(true, e);
   obs::SpanContext reuse_sc;
   if (spans_) {
     const double t = engine_.now().as_seconds();
@@ -325,6 +329,9 @@ void DampingModule::reset() {
   });
   entries_.clear();
   suppressed_count_ = 0;
+  live_entries_ = 0;
+  min_stored_ = std::numeric_limits<double>::infinity();
+  oldest_stamp_ = sim::SimTime::max();
   for (auto& h : rcn_history_) h.clear();
 }
 
@@ -345,22 +352,41 @@ std::size_t DampingModule::active_entries() const {
 }
 
 std::size_t DampingModule::active_entries(sim::SimTime now) const {
+  if (live_entries_ == 0) return 0;
+  // Every live penalty is at least min_stored_ and no older than
+  // oldest_stamp_; the check is written so that a NaN (an infinite forced
+  // penalty times a zero decay factor) also takes the walk.
+  const double age_s = (now - oldest_stamp_).as_seconds();
+  const double smallest = min_stored_ * std::exp(-params_.lambda() * age_s);
+  if (smallest >= std::numeric_limits<double>::min()) return live_entries_;
+  return walk_active(now);
+}
+
+std::size_t DampingModule::walk_active(sim::SimTime now) const {
   const double lambda = params_.lambda();
-  std::size_t live = 0;
+  std::size_t active = 0;
   entries_.for_each([&](bgp::Prefix, const std::vector<Entry>& entries) {
     for (const Entry& e : entries) {
-      if (e.suppressed || e.penalty.at(now, lambda) > 0.0) ++live;
+      if (e.suppressed || e.penalty.at(now, lambda) > 0.0) ++active;
     }
   });
-  return live;
+  return active;
+}
+
+void DampingModule::note_stored(double value, sim::SimTime stamp) {
+  if (!(value > 0.0)) return;
+  min_stored_ = std::min(min_stored_, value);
+  oldest_stamp_ = std::min(oldest_stamp_, stamp);
 }
 
 void DampingModule::check_invariants() const {
   const sim::SimTime now = engine_.now();
   const double lambda = params_.lambda();
   int suppressed = 0;
+  std::size_t live_count = 0;
   entries_.for_each([&](bgp::Prefix, const std::vector<Entry>& entries) {
     for (const Entry& e : entries) {
+      if (live(e)) ++live_count;
       const double value = e.penalty.at(now, lambda);
       obs::check_always(value >= 0.0, "rfd: negative penalty");
       obs::check_always(value <= params_.ceiling(),
@@ -382,10 +408,18 @@ void DampingModule::check_invariants() const {
   });
   obs::check_always(suppressed == suppressed_count_,
                     "rfd: suppressed count out of sync with entries");
+  obs::check_always(live_count == live_entries_,
+                    "rfd: live count out of sync with entries");
+  obs::check_always(active_entries(now) == walk_active(now),
+                    "rfd: active-entry count disagrees with the entry walk");
 }
 
 void DampingModule::debug_set_penalty(int slot, bgp::Prefix p, double value) {
-  entry(slot, p).penalty.force(value, engine_.now());
+  Entry& e = entry(slot, p);
+  const bool was_live = live(e);
+  e.penalty.force(value, engine_.now());
+  note_stored(value, engine_.now());
+  recount(was_live, e);
 }
 
 }  // namespace rfdnet::rfd

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -103,7 +104,11 @@ class DampingModule final : public bgp::DampingHook {
   /// Number of (slot, prefix) entries whose penalty state is live right now
   /// (non-zero penalty or suppressed) — what the RFC 2439 memory limit
   /// bounds. `tracked_entries` additionally counts rows kept only for their
-  /// `ever_announced` flag. O(tracked) walk; reporting cadence only.
+  /// `ever_announced` flag. O(1): a count maintained at every charge, prune,
+  /// reuse and reset. A stored penalty only reads 0.0 once its decay
+  /// underflows (λ·age above ~700, about 10⁶ s at Cisco parameters); when
+  /// the oldest stored penalty could have got there, the count is taken by
+  /// an O(tracked) walk instead.
   std::size_t active_entries() const;
   /// Same count with penalty decay evaluated at an explicit instant instead
   /// of the engine clock. The telemetry probes use this: at a barrier-
@@ -132,7 +137,8 @@ class DampingModule final : public bgp::DampingHook {
 
   /// Audit: every penalty lies in [0, ceiling], every suppressed entry has a
   /// live reuse event scheduled at its recorded reuse time, and the
-  /// suppressed count matches the entry flags. Throws
+  /// suppressed and live counts match the entry flags (`active_entries` is
+  /// checked against a walk of the entries). Throws
   /// `obs::InvariantViolation` on breakage; always runs.
   void check_invariants() const;
 
@@ -151,6 +157,26 @@ class DampingModule final : public bgp::DampingHook {
     /// Open `rfd.suppress` span while the entry is suppressed.
     obs::SpanContext supp_span;
   };
+
+  /// Counted by `live_entries_`. Differs from "active at t" only for a
+  /// stored penalty whose decay has underflowed to 0.0 by t.
+  static bool live(const Entry& e) {
+    return e.suppressed || e.penalty.raw() > 0.0;
+  }
+  /// Moves `live_entries_` with an entry that was `was_live` before a
+  /// transition.
+  void recount(bool was_live, const Entry& e) {
+    if (live(e) == was_live) return;
+    if (was_live) {
+      --live_entries_;
+    } else {
+      ++live_entries_;
+    }
+  }
+  /// Widens the underflow bounds to cover a penalty stored at `stamp`.
+  void note_stored(double value, sim::SimTime stamp);
+  /// The reference count: evaluates every entry's decayed penalty at `now`.
+  std::size_t walk_active(sim::SimTime now) const;
 
   Entry& entry(int slot, bgp::Prefix p);
   Entry* find_entry(int slot, bgp::Prefix p);
@@ -185,6 +211,12 @@ class DampingModule final : public bgp::DampingHook {
   // entries_[p] is indexed by peer slot; storage backend per `rib_backend()`.
   bgp::RibTable<std::vector<Entry>> entries_;
   int suppressed_count_ = 0;
+  std::size_t live_entries_ = 0;
+  // Conservative bounds over every positive penalty stored since the last
+  // reset: no live entry is smaller or older, so if the smallest decays
+  // from the oldest stamp without underflow, every live penalty is > 0.
+  double min_stored_ = std::numeric_limits<double>::infinity();
+  sim::SimTime oldest_stamp_ = sim::SimTime::max();
 };
 
 }  // namespace rfdnet::rfd

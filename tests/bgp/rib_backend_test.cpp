@@ -99,6 +99,60 @@ TEST_P(RetainingBackendTest, EraseToEmptyAndRefill) {
   EXPECT_EQ(*t.find(600), 2);
 }
 
+// Every operation on a table that was never written: on the radix store the
+// trie root has not been allocated yet.
+TEST_P(RetainingBackendTest, NeverWrittenTableIsEmpty) {
+  RibTable<int> t(GetParam());
+  EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_EQ(std::as_const(t).find(0xffffffffu), nullptr);
+  EXPECT_FALSE(t.erase(0));
+  EXPECT_FALSE(t.erase(0x01020304u));
+  int visits = 0;
+  t.for_each([&](Prefix, int&) { ++visits; });
+  t.for_each_ordered([&](Prefix, int&) { ++visits; });
+  std::as_const(t).for_each_ordered([&](Prefix, const int&) { ++visits; });
+  EXPECT_EQ(visits, 0);
+  EXPECT_EQ(t.size(), 0u);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  // Still usable after clearing an unallocated trie.
+  t.find_or_create(42) = 7;
+  ASSERT_NE(t.find(42), nullptr);
+  EXPECT_EQ(*t.find(42), 7);
+}
+
+// A table emptied key by key (the radix root then holds no children) and a
+// table emptied by clear (the radix root is released) both behave as empty
+// and take new keys.
+TEST_P(RetainingBackendTest, TableEmptiedByEraseOrClearIsEmpty) {
+  RibTable<int> t(GetParam());
+  for (const Prefix p : kKeys) t.find_or_create(p) = 1;
+  for (const Prefix p : kKeys) EXPECT_TRUE(t.erase(p));
+  EXPECT_EQ(t.size(), 0u);
+  for (const Prefix p : kKeys) {
+    EXPECT_EQ(t.find(p), nullptr);
+    EXPECT_FALSE(t.erase(p));
+  }
+  int visits = 0;
+  t.for_each_ordered([&](Prefix, int&) { ++visits; });
+  t.for_each([&](Prefix, int&) { ++visits; });
+  EXPECT_EQ(visits, 0);
+
+  t.find_or_create(kKeys[4]) = 3;
+  EXPECT_EQ(t.size(), 1u);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.find(kKeys[4]), nullptr);
+  EXPECT_FALSE(t.erase(kKeys[4]));
+  t.for_each_ordered([&](Prefix, int&) { ++visits; });
+  EXPECT_EQ(visits, 0);
+  t.clear();  // clearing twice is harmless
+  t.find_or_create(kKeys[7]) = 4;
+  std::vector<Prefix> visited;
+  t.for_each_ordered([&](Prefix p, int&) { visited.push_back(p); });
+  EXPECT_EQ(visited, std::vector<Prefix>{kKeys[7]});
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, RetainingBackendTest,
                          ::testing::Values(RibBackendKind::kHashMap,
                                            RibBackendKind::kRadix),
@@ -124,6 +178,15 @@ TEST(NullBackendTest, ScratchSlotIsResetPerAccess) {
   t.find_or_create(1).push_back(5);
   // The next access must see a value-initialized T, not yesterday's scratch.
   EXPECT_TRUE(t.find_or_create(1).empty());
+}
+
+// The radix trie root is a heap node allocated on first insert, not a
+// 256-pointer array inside every table: std::variant reserves room for its
+// largest alternative, so an inline root cost each table ~2 KB whichever
+// store it ran on.
+TEST(RibTableLayout, TableDoesNotEmbedTheTrieRoot) {
+  EXPECT_LE(sizeof(RibTable<int>), 128u);
+  EXPECT_LE(sizeof(detail::RadixStore<int>), 2 * sizeof(void*));
 }
 
 TEST(RibBackendKindTest, ParseAndToStringRoundTrip) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace rfdnet::core {
 namespace {
@@ -80,13 +81,21 @@ TEST(FullTable, WithdrawnTailIsReclaimed) {
 }
 
 TEST(FullTable, HashAndRadixScorecardsAreByteIdentical) {
+  // With the telemetry grid on, the rfd.active_entries probe reads each
+  // module's active count at grid instants between events, so the series
+  // also pins the maintained count on both stores.
   FullTableConfig cfg = small_config();
+  cfg.telemetry_period_s = 2.0;
   cfg.rib_backend = bgp::RibBackendKind::kHashMap;
   const FullTableResult hash = run_full_table(cfg);
   cfg.rib_backend = bgp::RibBackendKind::kRadix;
   const FullTableResult radix = run_full_table(cfg);
   EXPECT_EQ(hash.scorecard(), radix.scorecard());
   EXPECT_EQ(hash.metrics.json(), radix.metrics.json());
+  EXPECT_NE(hash.telemetry_jsonl.find("\"rfd.active_entries\""),
+            std::string::npos);
+  EXPECT_EQ(hash.telemetry_jsonl, radix.telemetry_jsonl);
+  EXPECT_EQ(hash.telemetry_summary, radix.telemetry_summary);
 }
 
 TEST(FullTable, SinglePrefixIsAlphaInvariant) {

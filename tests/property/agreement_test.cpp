@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -20,6 +21,11 @@ struct Case {
   int pulses;
   double interval_s;
 };
+
+// Without this, gtest prints the case as a raw byte dump whose first bytes
+// are the address of `name`, so the discovered ctest names would change with
+// every build (ASLR). Print the stable case name instead.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class AgreementProperty : public ::testing::TestWithParam<Case> {};
 
